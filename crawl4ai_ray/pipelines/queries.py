@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..sources import corpus as C
+from .oracles import GOLDEN_MD
 
 CRAWL_DEPTH = 3
 
@@ -1680,12 +1681,6 @@ def q_distinct_users(sf_dir: str) -> pd.DataFrame:
     )
     total = per_bucket.sum("n")
     return pd.DataFrame({"n_users": [int(total)]})
-
-
-GOLDEN_MD = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-    "tests", "golden", "markdown_goldens.parquet",
-)
 
 
 def q_markdown_parity(sf_dir: str) -> pd.DataFrame:

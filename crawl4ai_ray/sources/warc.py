@@ -43,7 +43,7 @@ _DATE_FMT = "%Y-%m-%dT%H:%M:%S.%fZ"
 # WARC/1.1 (ISO 28500:2017 allows sub-second WARC-Date). The reader
 # accepts both forms.
 _DATE_FMT_SECONDS = "%Y-%m-%dT%H:%M:%SZ"
-WARC_VERSION = 2  # bump when the shard/CDX layout changes (cache key)
+WARC_VERSION = 3  # bump when the shard/CDX layout changes (cache key)
 
 
 def _record(url: str, ts_us: int, html: bytes) -> bytes:
@@ -66,7 +66,14 @@ def _record(url: str, ts_us: int, html: bytes) -> bytes:
 
 def write_warc(corpus_dir: str, out_dir: str) -> "rd.Dataset":
     """Export the corpus as ``.warc.gz`` shards; returns the manifest
-    Dataset (path, n_records, n_bytes), one row per shard."""
+    Dataset (path, n_records, n_bytes), one row per shard.
+
+    Each shard gets a CDX companion under ``out_dir/cdx/`` whose
+    ``shard`` column holds the shard's file name relative to
+    ``out_dir`` (the export root), not an absolute path: readers
+    resolve it against the directory they were given, so an export
+    stays valid after it is moved or renamed (``warc_export_for``
+    stages into a temp dir and renames it into place)."""
     os.makedirs(out_dir, exist_ok=True)
 
     cdx_dir = os.path.join(out_dir, "cdx")
@@ -105,7 +112,7 @@ def write_warc(corpus_dir: str, out_dir: str) -> "rd.Dataset":
         cdx = pa.table(
             {
                 "url": pa.array([urls[i] for i in order], pa.string()),
-                "shard": pa.array([path] * len(urls), pa.string()),
+                "shard": pa.array([name] * len(urls), pa.string()),
                 "offset": pa.array([offsets[i] for i in order], pa.int64()),
                 "length": pa.array([lengths[i] for i in order], pa.int64()),
             }
@@ -261,9 +268,10 @@ def warc_hits(urls: "pa.Array", warc_dir: str, columns=("url", "html")) -> "pa.T
 
     Each url resolves through the url-sorted CDX parquet (row-group-
     exact lookup), then its gzip member is range-read from the shard
-    (seek + read of exactly ``length`` bytes — the Common Crawl access
-    pattern; shards are never scanned).  Supported columns: url,
-    html, warc_ts (all a WARC record carries); anything else raises.
+    the CDX names, relative to ``warc_dir`` (seek + read of exactly
+    ``length`` bytes — the Common Crawl access pattern; shards are
+    never scanned).  Supported columns: url, html, warc_ts (all a
+    WARC record carries); anything else raises.
     """
     from ..stages.fetch import keyed_lookup
 
@@ -280,7 +288,7 @@ def warc_hits(urls: "pa.Array", warc_dir: str, columns=("url", "html")) -> "pa.T
     order = sorted(range(len(h_shard)), key=lambda r: (h_shard[r], h_off[r]))
     out_urls, out_ts, out_html = [], [], []
     for r in order:
-        f = _shard_handle(h_shard[r])
+        f = _shard_handle(os.path.join(warc_dir, h_shard[r]))
         f.seek(h_off[r])
         member = f.read(h_len[r])
         url_r, ts_us, html = next(parse_warc_bytes(gzip.decompress(member)))

@@ -27,6 +27,8 @@ from crawl4ai_ray.functions.c4a_script import (
     compile_string,
 )
 
+from _refload import requires_reference
+
 REF_DIR = pathlib.Path("/root/reference/crawl4ai/script")
 
 
@@ -440,6 +442,7 @@ class TestLegacyExceptionAPI:
 
 
 class TestReferencePins:
+    @requires_reference
     def test_error_codes_match_reference(self):
         tree = ast.parse((REF_DIR / "c4a_compile.py").read_text())
         ref_codes = None
@@ -450,6 +453,7 @@ class TestReferencePins:
                 ref_codes = ast.literal_eval(node.value)
         assert ref_codes == C4ACompiler.ERROR_CODES
 
+    @requires_reference
     def test_grammar_keywords_covered(self):
         src = (REF_DIR / "c4ai_script.py").read_text()
         m = re.search(r'GRAMMAR = r"""(.*?)"""', src, re.DOTALL)
@@ -457,6 +461,7 @@ class TestReferencePins:
         ref_keywords = set(re.findall(r'"([A-Z][A-Z_]*)"', m.group(1)))
         assert ref_keywords <= C._KEYWORDS, ref_keywords - C._KEYWORDS
 
+    @requires_reference
     def test_result_exports_match_reference_all(self):
         src = (REF_DIR / "__init__.py").read_text()
         tree = ast.parse(src)

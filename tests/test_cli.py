@@ -1,8 +1,11 @@
 """CLI argument handling (full CLI flows are driven in verify; these
 cover the no-Ray paths)."""
 
+import os
 import subprocess
 import sys
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args):
@@ -10,7 +13,7 @@ def run_cli(*args):
         [sys.executable, "-m", "crawl4ai_ray", *args],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
     )
 
 

@@ -18,6 +18,8 @@ from crawl4ai_ray.functions.domclean import (
 )
 from crawl4ai_ray.stages.extract import IMAGE_SCORE_THRESHOLD, SOCIAL_MEDIA_DOMAINS
 
+from _refload import requires_reference
+
 REF_CONFIG = "/root/reference/crawl4ai/config.py"
 REF_CSS = "/root/reference/crawl4ai/content_scraping_strategy.py"
 
@@ -39,6 +41,7 @@ def _module_literal(path: str, name: str):
     raise AssertionError(f"{name} not found in {path}")
 
 
+@requires_reference
 class TestConfigConstantsParity:
     def test_important_attrs(self):
         ref = _load_ref_config()

@@ -55,9 +55,6 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _ids():
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from crawl4ai_ray.pipelines.oracles import ORACLES
 
     return sorted(ORACLES)
@@ -65,9 +62,6 @@ def _ids():
 
 @pytest.mark.parametrize("name", _ids())
 def test_query_matches_oracle(name, con, ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from crawl4ai_ray.pipelines.oracles import ORACLES
     from crawl4ai_ray.pipelines.queries import QUERIES
 

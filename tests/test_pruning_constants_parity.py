@@ -11,6 +11,8 @@ import ast
 
 from crawl4ai_ray.stages.content_filters import PruningContentFilter
 
+from _refload import requires_reference
+
 REF_FILE = "/root/reference/crawl4ai/content_filter_strategy.py"
 
 
@@ -45,6 +47,7 @@ def _ref_init_literals() -> dict:
     raise AssertionError("PruningContentFilter not found in reference")
 
 
+@requires_reference
 class TestPruningConstants:
     def test_weight_tables(self):
         ref = _ref_init_literals()

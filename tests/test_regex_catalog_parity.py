@@ -23,6 +23,8 @@ from crawl4ai_ray.stages.regex_extract import (
     RegexExtractor,
 )
 
+from _refload import requires_reference
+
 REF_FILE = "/root/reference/crawl4ai/extraction_strategy.py"
 
 
@@ -61,9 +63,11 @@ def _ref_flag_members() -> list:
 
 
 class TestRegexCatalogParity:
+    @requires_reference
     def test_default_patterns_byte_equal(self):
         assert DEFAULT_PATTERNS == _ref_catalog()
 
+    @requires_reference
     def test_flag_members_and_order(self):
         ref_names = _ref_flag_members()
         our_names = [p.name for p in Pattern]
@@ -76,6 +80,7 @@ class TestRegexCatalogParity:
         # reference: _FLAGS = re.IGNORECASE | re.MULTILINE (:2668)
         assert _FLAGS == (re.IGNORECASE | re.MULTILINE)
 
+    @requires_reference
     def test_extract_differential(self):
         catalog = _ref_catalog()
         ref_compiled = {
@@ -120,6 +125,7 @@ class TestRegexCatalogParity:
             ]
             assert norm == ref_norm, f"case {i}: {text[:80]!r}"
 
+    @requires_reference
     def test_pattern_subset_and_custom_override(self):
         catalog = _ref_catalog()
         ex = RegexExtractor(

@@ -117,6 +117,26 @@ def test_warc_fetcher_keyed_get(ray_session):
     assert out.column("html")[3].as_py() is None
 
 
+def test_keyed_get_on_fresh_export(ray_session, tmp_path):
+    """An export staged in a temp dir and renamed into place must still
+    serve keyed GETs: CDX shard names resolve against the final root,
+    never the vanished staging dir."""
+    from crawl4ai_ray.sources import corpus as C
+    from crawl4ai_ray.sources.warc import WarcFetcher
+
+    root = str(tmp_path / "warcroot")
+    d = warc_export_for(SF_SMALL, root=root)
+    assert not [n for n in os.listdir(root) if ".tmp" in n]
+    cdx = pq.read_table(os.path.join(d, "cdx"), columns=["shard"])
+    assert all(os.sep not in s for s in cdx.column("shard").to_pylist())
+    urls = [C.page_url(i) for i in (0, 250, 499)]
+    out = WarcFetcher(d)(pa.table({"url": pa.array(urls, pa.string())}))
+    assert out.column("status_code").to_pylist() == [200, 200, 200]
+    corpus = pq.read_table(C.build_corpus(SF_SMALL), columns=["url", "html"]).to_pydict()
+    html_of = dict(zip(corpus["url"], corpus["html"]))
+    assert out.column("html").to_pylist() == [html_of[u] for u in urls]
+
+
 def test_warc_keyed_fetch_query(ray_session):
     from crawl4ai_ray.pipelines.queries import QUERIES
 
